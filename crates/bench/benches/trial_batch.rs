@@ -8,9 +8,11 @@
 //! overhead left is a single `lane_view` bit-read per census probe and the
 //! conditioning check collapses to one bit-parallel BFS fixpoint
 //! (`connected_lanes`) deciding all 64 lanes in single ALU ops instead of
-//! 64 scalar BFS passes. The `percolation/trial_batch` group reports the
-//! scalar and batched paths over identical trial sets — they are
-//! bit-identical in output (see crates/percolation/tests/
+//! 64 scalar BFS passes, and the census collapses to one edge list per
+//! batch swept once per lane (`lane_components`) instead of 64 full
+//! censuses through `lane_view`. The `percolation/trial_batch` group
+//! reports the scalar and batched paths over identical trial sets — they
+//! are bit-identical in output (see crates/percolation/tests/
 //! trial_equivalence.rs), so any measured gap is pure wall-clock.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -59,7 +61,9 @@ fn bench_edge_sampling(c: &mut Criterion) {
 
 /// Census + conditioning over 64 trials: scalar (64 samples, 64 censuses,
 /// 64 pair checks) vs batched (one batch, 64 lane censuses, one
-/// bit-parallel `connected_lanes` fixpoint).
+/// bit-parallel `connected_lanes` fixpoint) vs the lane sweep (one batch,
+/// one edge list, 64 union-find sweeps over it, one fixpoint). The
+/// sweep's target is to stay within 2× of `sample_batched` above.
 fn bench_census_and_conditioning(c: &mut Criterion) {
     let mut group = c.benchmark_group("percolation/trial_batch");
     group.warm_up_time(Duration::from_millis(500));
@@ -92,6 +96,15 @@ fn bench_census_and_conditioning(c: &mut Criterion) {
                             .largest_component_size()
                     })
                     .sum();
+                giants.wrapping_add(u64::from(connected.count_ones()))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("census_lane_sweep", n), &n, |b, _| {
+            b.iter(|| {
+                let cfg = PercolationConfig::new(P, SEED);
+                let batch = TrialBatch::from_config(&cube, &cfg, TRIALS);
+                let connected = batch.connected_lanes(u, v);
+                let giants: u64 = batch.lane_components(1).iter().map(|l| l.largest).sum();
                 giants.wrapping_add(u64::from(connected.count_ones()))
             })
         });

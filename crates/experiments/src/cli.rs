@@ -18,7 +18,9 @@
 //!   spawning costs more than it saves. The parallel census is
 //!   bit-identical to the sequential one (canonical min-vertex component
 //!   labels), so this knob, like `--threads`, never changes a single
-//!   emitted byte.
+//!   emitted byte. Under `--trial-batch`, giant scans and threshold
+//!   bisections instead split each batch's lanes across `N` workers of the
+//!   lane-sweep census (`TrialBatch::lane_components`).
 //! * `--trial-batch N` (or `--trial-batch=N`) — run trial fan-outs through
 //!   the trial-batched (multispin) percolation engine, packing up to
 //!   `min(N, 64)` consecutive trials into one transposed bitset word per

@@ -32,7 +32,8 @@
 pub struct TrialExec {
     /// Per-trial (or per-chunk, when batched) worker threads; at least 1.
     pub threads: usize,
-    /// Intra-census worker threads; 1 = sequential census.
+    /// Intra-census worker threads; 1 = sequential census. On the batched
+    /// giant-scan path these workers split a batch's lanes instead.
     pub census_threads: usize,
     /// Trial-batch lane request: 0 = scalar engine, `N >= 1` = multispin
     /// engine with `min(N, 64)` lanes per word.

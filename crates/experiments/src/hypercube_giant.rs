@@ -31,17 +31,19 @@ pub struct HypercubePoint {
 /// instances under the execution knobs in `exec`: instances fan across
 /// `exec.threads` workers, each instance's census across
 /// `exec.census_threads` workers, and `exec.trial_batch > 0` packs up to 64
-/// instances per chunk into one [`TrialBatch`] word array.
+/// instances per chunk into one [`TrialBatch`] word array (where
+/// `exec.census_threads` splits the chunk's lanes instead).
 ///
 /// On the scalar path each worker materialises its instance as a
 /// [`BitsetSample`] (single bit read per edge in the census); on the batched
 /// path lane `l` of the chunk starting at trial `t0` uses seed
-/// `base_seed + t0 + l` — exactly the scalar trial's seed — and the census
-/// reads the lane through a [`faultnet_percolation::LaneView`]. Per-instance
-/// results are summed in trial order either way, so the means are identical
-/// for every `threads`, `census_threads`, *and* `trial_batch` value: the
-/// parallel census is bit-identical to the sequential one and the batched
-/// substrate is a pure relayout of the scalar samples. The knobs compose —
+/// `base_seed + t0 + l` — exactly the scalar trial's seed — and
+/// [`TrialBatch::lane_components`] sweeps the lanes one union-find pass
+/// each. Per-instance results are summed in trial order either way, so the
+/// means are identical for every `threads`, `census_threads`, *and*
+/// `trial_batch` value: the parallel census is bit-identical to the
+/// sequential one, the batched substrate is a pure relayout of the scalar
+/// samples, and the lane sweep reads the same partition. The knobs compose —
 /// per-trial fan-out soaks up many small instances, intra-census fan-out
 /// soaks up few huge ones (the n ≥ 16 grids this experiment exists for), and
 /// batching amortises the edge sampling across lanes.
@@ -124,10 +126,10 @@ where
     }
     let (giant_total, connected_count) = if batched && TrialBatch::supported(cube) {
         // Multispin path: each chunk samples up to 64 instances into one
-        // transposed word array, then walks the lanes in trial order. Lane
+        // transposed word array, then sweeps the lanes in trial order. Lane
         // `l` of the chunk at `t0` uses seed `base_seed + t0 + l` — the
-        // scalar trial's seed — so the census over each LaneView is
-        // bit-identical to the census over the scalar BitsetSample.
+        // scalar trial's seed — so each lane's largest component and
+        // component count equal the census over the scalar BitsetSample.
         let lanes_per_chunk = clamp_lanes(exec.trial_batch);
         let starts: Vec<u32> = (0..trials).step_by(lanes_per_chunk).collect();
         let per_chunk = Sweep::over(starts).run_parallel(exec.threads.max(1), |&t0| {
@@ -139,24 +141,14 @@ where
                     model.instance_from_placement(&placement, cube, cfg, pair)
                 })
                 .collect();
-            let batch = TrialBatch::from_lane_states(cube, &instances);
-            (0..lanes)
-                .map(|l| {
-                    let census = ComponentCensus::compute_parallel(
-                        cube,
-                        &batch.lane_view(l),
-                        exec.census_threads,
-                    );
-                    (census.giant_fraction(), census.num_components() == 1)
-                })
-                .collect::<Vec<_>>()
+            TrialBatch::from_lane_states(cube, &instances).lane_components(exec.census_threads)
         });
         let mut giant_total = 0.0;
         let mut connected_count = 0u32;
         for chunk in per_chunk {
-            for (giant, connected) in chunk.value {
-                giant_total += giant;
-                connected_count += u32::from(connected);
+            for lane in chunk.value {
+                giant_total += lane.giant_fraction();
+                connected_count += u32::from(lane.is_connected());
             }
         }
         (giant_total, connected_count)

@@ -36,7 +36,8 @@ pub struct MeshThresholdExperiment {
     pub threads: usize,
     /// Intra-census worker threads: each giant-fraction evaluation inside a
     /// bisection runs its census on this many workers — the only
-    /// parallelism available *within* one bisection. 1 = sequential; the
+    /// parallelism available *within* one bisection. With `trial_batch >
+    /// 0` the workers split each batch's lanes instead. 1 = sequential; the
     /// reported numbers are identical for every value.
     pub census_threads: usize,
     /// Trial-batch lane request: each probability evaluation inside a

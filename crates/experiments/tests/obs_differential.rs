@@ -39,41 +39,51 @@ fn rendered_zoo(
 #[test]
 fn instrumentation_states_never_change_a_report_byte() {
     let _guard = OBS_LOCK.lock().unwrap();
-    faultnet_obs::reset();
+    // The scalar engine, then the batched one, whose giant and threshold
+    // scans run the lane-sweep census with its lanes split across two
+    // workers.
+    for (census_threads, trial_batch) in [(1, 0), (2, 64)] {
+        faultnet_obs::reset();
 
-    let baseline = rendered_zoo(2, 1, 0);
-    assert!(!baseline.is_empty(), "the registry is not empty");
+        let baseline = rendered_zoo(2, census_threads, trial_batch);
+        assert!(!baseline.is_empty(), "the registry is not empty");
 
-    faultnet_obs::enable();
-    let counted = rendered_zoo(2, 1, 0);
+        faultnet_obs::enable();
+        let counted = rendered_zoo(2, census_threads, trial_batch);
 
-    faultnet_obs::enable_tracing();
-    let traced = rendered_zoo(2, 1, 0);
+        faultnet_obs::enable_tracing();
+        let traced = rendered_zoo(2, census_threads, trial_batch);
 
-    // The enabled runs actually recorded something — the comparison is not
-    // vacuously passing against dead instrumentation.
-    assert!(
-        faultnet_obs::counter_value("routing.trials.conditioned") > 0,
-        "no conditioned-trial counts recorded; is the routing harness instrumented?"
-    );
-    assert!(
-        faultnet_obs::counter_value("percolation.bfs.calls") > 0
-            || faultnet_obs::counter_value("census.unions") > 0,
-        "no percolation counts recorded; is the engine instrumented?"
-    );
-    faultnet_obs::reset();
-
-    for (i, experiment) in registry().iter().enumerate() {
-        assert_eq!(
-            baseline[i], counted[i],
-            "{}: counting changed the report bytes",
-            experiment.binary
+        // The enabled runs actually recorded something — the comparison is
+        // not vacuously passing against dead instrumentation.
+        assert!(
+            faultnet_obs::counter_value("routing.trials.conditioned") > 0,
+            "no conditioned-trial counts recorded; is the routing harness instrumented?"
+        );
+        assert!(
+            faultnet_obs::counter_value("percolation.bfs.calls") > 0
+                || faultnet_obs::counter_value("census.unions") > 0,
+            "no percolation counts recorded; is the engine instrumented?"
         );
         assert_eq!(
-            baseline[i], traced[i],
-            "{}: span tracing changed the report bytes",
-            experiment.binary
+            faultnet_obs::span_stats("census.lanes").count > 0,
+            trial_batch > 0,
+            "census.lanes spans must appear exactly when batching is on"
         );
+        faultnet_obs::reset();
+
+        for (i, experiment) in registry().iter().enumerate() {
+            assert_eq!(
+                baseline[i], counted[i],
+                "{}: counting changed the report bytes (trial_batch {trial_batch})",
+                experiment.binary
+            );
+            assert_eq!(
+                baseline[i], traced[i],
+                "{}: span tracing changed the report bytes (trial_batch {trial_batch})",
+                experiment.binary
+            );
+        }
     }
 }
 

@@ -59,14 +59,16 @@ pub fn mean_giant_fraction_with_census_threads<T: Topology + Sync>(
 /// Like [`mean_giant_fraction_with_census_threads`], but trials are
 /// materialised through the trial-batched (multispin) store: chunks of up
 /// to `min(trial_batch, 64)` consecutive trials share one
-/// [`TrialBatch`], and each lane's census runs over a single-bit-read
-/// [`crate::LaneView`].
+/// [`TrialBatch`], censused lane by lane by
+/// [`TrialBatch::lane_components`]. On this path `census_threads` splits
+/// the lanes of a batch across that many workers.
 ///
 /// The mean is **bit-identical** to the scalar engine for every
-/// `trial_batch` value: lane `l` of the chunk starting at trial `t0`
-/// realises exactly the scalar trial `t0 + l` (same seed, same edge
-/// states, same canonical census labels), and the per-trial fractions are
-/// summed in trial order, so even the `f64` addition sequence matches.
+/// `trial_batch` and `census_threads` value: lane `l` of the chunk
+/// starting at trial `t0` realises exactly the scalar trial `t0 + l`
+/// (same seed, same edge states, same partition, so the same largest
+/// component), and the per-trial fractions are summed in trial order, so
+/// even the `f64` addition sequence matches.
 /// Topologies without a closed-form edge index fall back to the scalar
 /// loop outright. The equivalence suite in `tests/trial_equivalence.rs`
 /// pins both claims across the family zoo.
@@ -104,10 +106,8 @@ pub fn mean_giant_fraction_batched<T: Topology + Sync>(
         let lanes = lanes_per_chunk.min((trials - t0) as usize);
         let cfg = PercolationConfig::new(p, base_seed.wrapping_add(t0 as u64));
         let batch = TrialBatch::from_config(graph, &cfg, lanes);
-        for lane in 0..lanes {
-            let view = batch.lane_view(lane);
-            let census = ComponentCensus::compute_parallel(graph, &view, census_threads);
-            total += census.giant_fraction();
+        for lane in batch.lane_components(census_threads) {
+            total += lane.giant_fraction();
         }
         t0 += lanes as u32;
     }

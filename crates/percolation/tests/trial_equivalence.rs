@@ -6,7 +6,9 @@
 //! `s + l`, a census over a [`LaneView`] equals the census over that scalar
 //! sample on *every* public accessor, the bit-parallel
 //! [`TrialBatch::connected_lanes`] fixpoint decides per-lane connectivity
-//! exactly as the scalar census does, and the batched trial means
+//! exactly as the scalar census does, the batched lane sweep
+//! ([`TrialBatch::lane_components`]) reads the same largest component and
+//! component count as a per-lane census, and the batched trial means
 //! ([`mean_giant_fraction_batched`]) are bit-identical to the scalar loop
 //! for every batch size — including the ragged tails where
 //! `trials % lanes != 0`.
@@ -31,6 +33,7 @@ use faultnet_topology::{
     double_tree::DoubleBinaryTree,
     explicit::ExplicitGraph,
     hypercube::Hypercube,
+    load::SubstrateSpec,
     mesh::Mesh,
     shuffle_exchange::ShuffleExchange,
     torus::Torus,
@@ -352,6 +355,58 @@ fn degenerate_lane_censuses() {
             mesh.num_vertices(),
             "open lane leaked into lane {lane}"
         );
+    }
+}
+
+/// The batched census, [`TrialBatch::lane_components`], reports for every
+/// lane exactly the largest component and component count of the per-lane
+/// census over [`TrialBatch::lane_view`] — across the zoo, the `explicit:`
+/// substrates and the 0- and 1-vertex graphs, at ragged and full batches,
+/// the empty, a mid and the full retention, and one or two sweep workers.
+#[test]
+fn lane_components_equal_per_lane_census_across_the_zoo() {
+    let mut graphs = family_zoo();
+    for name in ["ba-256-3", "fattree-4", "karate"] {
+        let spec = SubstrateSpec::parse(name).expect("a valid substrate name");
+        graphs.push(Box::new(spec.build()));
+    }
+    graphs.push(Box::new(ExplicitGraph::new(0)));
+    graphs.push(Box::new(ExplicitGraph::new(1)));
+    for graph in &graphs {
+        let graph = graph.as_ref();
+        for lanes in [1usize, 63, 64] {
+            for p in [0.0, 0.3, 1.0] {
+                let batch = TrialBatch::from_config(graph, &PercolationConfig::new(p, 29), lanes);
+                let census: Vec<ComponentCensus> = (0..lanes)
+                    .map(|lane| ComponentCensus::compute(graph, &batch.lane_view(lane)))
+                    .collect();
+                for census_threads in [1usize, 2] {
+                    let swept = batch.lane_components(census_threads);
+                    let context = format!(
+                        "{}, {lanes} lanes, p {p}, census_threads {census_threads}",
+                        graph.name()
+                    );
+                    assert_eq!(swept.len(), lanes, "{context}");
+                    for (lane, (got, want)) in swept.iter().zip(&census).enumerate() {
+                        assert_eq!(
+                            got.largest,
+                            want.largest_component_size(),
+                            "largest diverged: {context}, lane {lane}"
+                        );
+                        assert_eq!(
+                            got.components,
+                            want.num_components() as u64,
+                            "components diverged: {context}, lane {lane}"
+                        );
+                        assert_eq!(
+                            got.giant_fraction().to_bits(),
+                            want.giant_fraction().to_bits(),
+                            "giant fraction diverged: {context}, lane {lane}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

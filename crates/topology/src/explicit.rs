@@ -23,8 +23,12 @@ use crate::{EdgeId, Topology, VertexId};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExplicitGraph {
     adjacency: Vec<Vec<VertexId>>,
+    /// Prefix sums of the degrees (CSR offsets, `V + 1` entries):
+    /// `offsets[v]` is where `v`'s adjacency slots start in the edge-index
+    /// space, and `offsets[V] = 2|E|` is the index bound.
+    offsets: Vec<u64>,
     num_edges: u64,
-    /// Cached so `edge_index_bound` / `max_degree` need no O(V) scan.
+    /// Cached so `max_degree` needs no O(V) scan.
     max_degree: usize,
     label: String,
 }
@@ -34,6 +38,7 @@ impl ExplicitGraph {
     pub fn new(n: u64) -> Self {
         ExplicitGraph {
             adjacency: vec![Vec::new(); n as usize],
+            offsets: vec![0; n as usize + 1],
             num_edges: 0,
             max_degree: 0,
             label: format!("explicit(n={n})"),
@@ -88,8 +93,15 @@ impl ExplicitGraph {
             adjacency[b as usize].push(VertexId(a));
         }
         let max_degree = adjacency.iter().map(Vec::len).max().unwrap_or(0);
+        let offsets = std::iter::once(0)
+            .chain(adjacency.iter().scan(0u64, |end, list| {
+                *end += list.len() as u64;
+                Some(*end)
+            }))
+            .collect();
         ExplicitGraph {
             adjacency,
+            offsets,
             num_edges: canonical.len() as u64,
             max_degree,
             label: format!("explicit(n={n})"),
@@ -117,8 +129,10 @@ impl ExplicitGraph {
     /// fail loudly, so unlike the forgiving bulk [`ExplicitGraph::from_edges`]
     /// path it panics rather than skipping. It appends in insertion order
     /// (no re-sort) and scans one adjacency list per call to detect
-    /// duplicates — fine for hand-crafted graphs, quadratic on hub vertices;
-    /// bulk construction should go through [`ExplicitGraph::from_edges`].
+    /// duplicates, then refreshes the edge-index offsets from the lower
+    /// endpoint onward (O(V)) — fine for hand-crafted graphs, quadratic on
+    /// larger ones; bulk construction should go through
+    /// [`ExplicitGraph::from_edges`].
     ///
     /// # Panics
     ///
@@ -132,6 +146,15 @@ impl ExplicitGraph {
         }
         self.adjacency[a.0 as usize].push(b);
         self.adjacency[b.0 as usize].push(a);
+        // Every offset past `lo` moves by one slot, every offset past `hi`
+        // by two.
+        let (lo, hi) = (a.0.min(b.0) as usize, a.0.max(b.0) as usize);
+        for offset in &mut self.offsets[lo + 1..=hi] {
+            *offset += 1;
+        }
+        for offset in &mut self.offsets[hi + 1..] {
+            *offset += 2;
+        }
         self.max_degree = self
             .max_degree
             .max(self.adjacency[a.0 as usize].len())
@@ -173,12 +196,14 @@ impl Topology for ExplicitGraph {
         self.label.clone()
     }
 
-    /// `lo·Δ + slot`, where Δ is the current maximum degree and `slot` is
-    /// the position of `hi` in `lo`'s adjacency list. Indices are a pure
-    /// function of the graph's current edge set (later `add_edge` calls may
-    /// re-shape the space — rebuild any materialised sample after mutating).
-    /// Each query scans one adjacency list (O(Δ)), which keeps the escape
-    /// hatch on the bitset path without maintaining an extra map.
+    /// `offsets[lo] + slot`, where `offsets` is the prefix sum of the
+    /// degrees (CSR layout) and `slot` is the position of `hi` in `lo`'s
+    /// adjacency list, so the index space is exactly the `2|E|` adjacency
+    /// slots (see [`Topology::edge_index_bound`]). Indices are a pure
+    /// function of the graph's current adjacency (later `add_edge` calls
+    /// re-shape the space — rebuild any materialised sample after
+    /// mutating). Each query scans one adjacency list (O(Δ)), which keeps
+    /// the escape hatch on the bitset path without maintaining an extra map.
     fn edge_index(&self, edge: EdgeId) -> Option<u64> {
         if !self.contains(edge.hi()) {
             return None;
@@ -186,11 +211,13 @@ impl Topology for ExplicitGraph {
         let slot = self.adjacency[edge.lo().0 as usize]
             .iter()
             .position(|w| *w == edge.hi())?;
-        Some(edge.lo().0 * self.max_degree as u64 + slot as u64)
+        Some(self.offsets[edge.lo().0 as usize] + slot as u64)
     }
 
+    /// `2|E|`: one slot per adjacency entry, of which each edge uses the
+    /// one at its lower endpoint.
     fn edge_index_bound(&self) -> Option<u64> {
-        Some(self.num_vertices() * self.max_degree as u64)
+        Some(self.offsets[self.adjacency.len()])
     }
 }
 
@@ -309,15 +336,15 @@ mod tests {
         g.add_edge(VertexId(2), VertexId(3));
         g.add_edge(VertexId(2), VertexId(4));
         assert_eq!(g.max_degree(), 4);
-        assert_eq!(g.edge_index_bound(), Some(5 * 4));
+        // Degrees [2, 2, 4, 1, 1]: offsets [0, 2, 4, 8, 9, 10], bound 2|E|.
+        assert_eq!(g.edge_index_bound(), Some(2 * 5));
         // {0, 1}: slot 0 of vertex 0.
         assert_eq!(g.edge_index(EdgeId::new(VertexId(0), VertexId(1))), Some(0));
+        // {1, 2}: vertex 1's adjacency is [0, 2], so offset 2 + slot 1.
+        assert_eq!(g.edge_index(EdgeId::new(VertexId(1), VertexId(2))), Some(3));
         // {2, 4}: vertex 2's adjacency is [0, 1, 3, 4] (bulk-sorted prefix,
-        // then add_edge insertion order), so slot 3.
-        assert_eq!(
-            g.edge_index(EdgeId::new(VertexId(2), VertexId(4))),
-            Some(2 * 4 + 3)
-        );
+        // then add_edge insertion order), so offset 4 + slot 3.
+        assert_eq!(g.edge_index(EdgeId::new(VertexId(2), VertexId(4))), Some(7));
         // Non-edge and out-of-range pairs are rejected.
         assert_eq!(g.edge_index(EdgeId::new(VertexId(0), VertexId(3))), None);
         assert_eq!(g.edge_index(EdgeId::new(VertexId(0), VertexId(9))), None);
