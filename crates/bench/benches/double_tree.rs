@@ -33,7 +33,7 @@ fn bench_local_vs_oracle(c: &mut Criterion) {
     group.sample_size(10);
     for &depth in &[5u32, 7, 9] {
         group.bench_with_input(BenchmarkId::new("combined", depth), &depth, |b, &depth| {
-            b.iter(|| measure_tree_complexity(depth, 0.8, 8, 5, 1, 1));
+            b.iter(|| measure_tree_complexity(depth, 0.8, 8, 5, 1));
         });
     }
     let tt = DoubleBinaryTree::new(8);

@@ -18,7 +18,7 @@ fn bench_size_scaling(c: &mut Criterion) {
     for &n in &[60u64, 120, 240] {
         group.throughput(Throughput::Elements(n));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| measure_gnp_point(n, 2.0, 4, 9, 1, 1));
+            b.iter(|| measure_gnp_point(n, 2.0, 4, 9, 1));
         });
     }
     group.finish();

@@ -22,7 +22,7 @@ fn bench_alpha_sweep(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("alpha_{alpha}")),
             &alpha,
             |b, &alpha| {
-                b.iter(|| measure_alpha_point(9, alpha, 3, 20_000, 17, 1, 1));
+                b.iter(|| measure_alpha_point(9, alpha, 3, 20_000, 17, 1));
             },
         );
     }

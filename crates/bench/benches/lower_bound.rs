@@ -36,7 +36,7 @@ fn bench_monte_carlo_bound(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[8u32, 9, 10] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| compare_bound_to_measurement(n, 0.7, 2, 10, 3, 1, 1));
+            b.iter(|| compare_bound_to_measurement(n, 0.7, 2, 10, 3, 1));
         });
     }
     group.finish();

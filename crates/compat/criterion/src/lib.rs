@@ -252,7 +252,11 @@ impl BenchmarkGroup<'_> {
         );
         if let (Mode::Bench, Some(tp)) = (self.mode, self.throughput) {
             let per_second = match tp {
-                Throughput::Elements(n) => format!("{:.3e} elem/s", n as f64 / mean),
+                Throughput::Elements(n) => format!(
+                    "{:.3e} elem/s, {:.1} ns/elem",
+                    n as f64 / mean,
+                    mean * 1e9 / n as f64
+                ),
                 Throughput::Bytes(n) => format!("{:.3e} B/s", n as f64 / mean),
             };
             line.push_str(&format!(" ({per_second})"));

@@ -52,12 +52,10 @@ pub fn hypercube_router_ablation(
     trials: u32,
     base_seed: u64,
     threads: usize,
-    census_threads: usize,
 ) -> Vec<RouterAblationRow> {
     let cube = Hypercube::new(dimension);
     let (u, v) = cube.canonical_pair();
-    let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, base_seed))
-        .with_census_threads(census_threads);
+    let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, base_seed));
     let routers: Vec<Box<dyn Router<Hypercube, faultnet_percolation::EdgeSampler> + Sync>> = vec![
         Box::new(GreedyHypercubeRouter::strict()),
         Box::new(GreedyHypercubeRouter::with_detours(100_000)),
@@ -88,12 +86,10 @@ pub fn mesh_escalation_ablation(
     trials: u32,
     base_seed: u64,
     threads: usize,
-    census_threads: usize,
 ) -> Vec<(String, f64)> {
     let mesh = Mesh::new(2, side);
     let (u, v) = mesh.canonical_pair();
-    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed))
-        .with_census_threads(census_threads);
+    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed));
     let variants: Vec<(String, MeshLandmarkRouter)> = vec![
         ("unbounded (paper)".to_string(), MeshLandmarkRouter::new()),
         (
@@ -160,10 +156,6 @@ pub struct AblationExperiment {
     /// Worker threads for the conditioned trials (1 = sequential; the
     /// reported numbers are identical for every value).
     pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
 }
 
 impl AblationExperiment {
@@ -177,7 +169,6 @@ impl AblationExperiment {
             trials: effort.pick(10, 40),
             base_seed: 0xFA10,
             threads: 1,
-            census_threads: 1,
         }
     }
 
@@ -195,13 +186,6 @@ impl AblationExperiment {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
         self
     }
 
@@ -224,7 +208,6 @@ impl AblationExperiment {
                 self.trials,
                 self.base_seed.wrapping_add(pi as u64 * 67),
                 self.threads,
-                self.census_threads,
             );
             for row in rows {
                 table.push_row([
@@ -255,7 +238,6 @@ impl AblationExperiment {
             self.trials,
             self.base_seed ^ 0x1111,
             self.threads,
-            self.census_threads,
         ) {
             mesh_table.push_row([label, fmt_float(probes)]);
         }
@@ -284,7 +266,7 @@ mod tests {
 
     #[test]
     fn router_ablation_orders_routers_sensibly() {
-        let rows = hypercube_router_ablation(9, 0.6, 10, 3, 2, 2);
+        let rows = hypercube_router_ablation(9, 0.6, 10, 3, 2);
         assert_eq!(rows.len(), 5);
         let flood = rows.iter().find(|r| r.router.contains("flood")).unwrap();
         let segment = rows.iter().find(|r| r.router.contains("segment")).unwrap();
@@ -295,7 +277,7 @@ mod tests {
 
     #[test]
     fn mesh_escalation_variants_all_complete() {
-        let rows = mesh_escalation_ablation(0.7, 13, 8, 5, 1, 2);
+        let rows = mesh_escalation_ablation(0.7, 13, 8, 5, 1);
         assert_eq!(rows.len(), 3);
         for (label, probes) in rows {
             assert!(probes.is_finite(), "{label} produced no successes");

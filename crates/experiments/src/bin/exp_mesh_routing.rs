@@ -3,11 +3,9 @@
 //! Flags: `--quick` for the reduced configuration used by tests and benches
 //! (the default is the full configuration recorded in docs/EXPERIMENTS.md),
 //! `--threads N` to set the worker-thread count (0 or absent = one worker
-//! per core; the emitted tables are identical for every value),
-//! `--census-threads N` to run each intra-instance component census on `N`
-//! workers (absent = sequential census; 0 = one worker per core; the
-//! emitted tables are identical for every value), and `--markdown` for
-//! Markdown output.
+//! per core; the emitted tables are identical for every value), and
+//! `--markdown` for Markdown output. `--census-threads` is accepted but
+//! ignored with a stderr note: this experiment runs no component census.
 
 use faultnet_experiments::cli::ExpArgs;
 use faultnet_experiments::mesh_routing::MeshRoutingExperiment;
@@ -18,9 +16,8 @@ fn main() {
     args.warn_fault_model_ignored("exp_mesh_routing");
     args.warn_trial_batch_ignored("exp_mesh_routing");
     args.warn_rescan_ignored("exp_mesh_routing");
-    let experiment = MeshRoutingExperiment::with_effort(args.effort)
-        .with_threads(args.threads)
-        .with_census_threads(args.census_threads);
+    args.warn_census_threads_ignored("exp_mesh_routing");
+    let experiment = MeshRoutingExperiment::with_effort(args.effort).with_threads(args.threads);
     args.print(&experiment.run());
     args.finish_obs();
 }

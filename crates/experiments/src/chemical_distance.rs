@@ -98,11 +98,6 @@ pub struct ChemicalDistanceExperiment {
     /// Worker threads (1 = sequential; the reported numbers are identical
     /// for every value).
     pub threads: usize,
-    /// Intra-census worker threads, accepted for CLI uniformity: the
-    /// chemical-distance pipeline runs BFS distance passes, not component
-    /// censuses, so the knob has nothing to parallelise here and never
-    /// changes the numbers.
-    pub census_threads: usize,
 }
 
 impl ChemicalDistanceExperiment {
@@ -116,7 +111,6 @@ impl ChemicalDistanceExperiment {
             trials: effort.pick(15, 60),
             base_seed: 0xFA06,
             threads: 1,
-            census_threads: 1,
         }
     }
 
@@ -134,13 +128,6 @@ impl ChemicalDistanceExperiment {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
         self
     }
 

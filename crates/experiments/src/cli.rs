@@ -11,7 +11,7 @@
 //!   every thread count — the knob only changes wall-clock time.
 //! * `--census-threads N` (or `--census-threads=N`) — run each
 //!   *intra-instance* component census (giant scans, threshold bisections,
-//!   census-based conditioning) on `N` workers through
+//!   churn censuses) on `N` workers through
 //!   `ComponentCensus::compute_parallel`. `N = 0` means "one worker per
 //!   available core"; the default of 1 keeps the sequential census, which
 //!   wins below roughly the n = 14 hypercube where per-census thread
@@ -20,7 +20,10 @@
 //!   labels), so this knob, like `--threads`, never changes a single
 //!   emitted byte. Under `--trial-batch`, giant scans and threshold
 //!   bisections instead split each batch's lanes across `N` workers of the
-//!   lane-sweep census (`TrialBatch::lane_components`).
+//!   lane-sweep census (`TrialBatch::lane_components`). The routing
+//!   binaries (E1–E7, E10) run no census — their `{u ∼ v}` conditioning is
+//!   a bidirectional search — and warn on stderr
+//!   ([`ExpArgs::warn_census_threads_ignored`]).
 //! * `--trial-batch N` (or `--trial-batch=N`) — run trial fan-outs through
 //!   the trial-batched (multispin) percolation engine, packing up to
 //!   `min(N, 64)` consecutive trials into one transposed bitset word per
@@ -297,6 +300,22 @@ impl ExpArgs {
                  (exp_hypercube_giant, exp_mesh_threshold, exp_fault_models, \
                  exp_real_world)",
                 self.trial_batch
+            );
+        }
+    }
+
+    /// Warns on stderr when `--census-threads` asked for more than one
+    /// worker in a binary that runs no component census (the routing
+    /// experiments condition on `{u ∼ v}` with a bidirectional search).
+    /// Mirrors [`ExpArgs::warn_fault_model_ignored`]: silently accepting
+    /// the flag would let a user believe a parallel census ran.
+    pub fn warn_census_threads_ignored(&self, binary: &str) {
+        if self.census_threads > 1 {
+            eprintln!(
+                "--census-threads {} is ignored by {binary}; it runs no \
+                 component census (its {{u ~ v}} conditioning is a \
+                 bidirectional search)",
+                self.census_threads
             );
         }
     }

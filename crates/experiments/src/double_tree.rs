@@ -95,12 +95,10 @@ pub fn measure_tree_complexity(
     trials: u32,
     base_seed: u64,
     threads: usize,
-    census_threads: usize,
 ) -> TreeComplexityPoint {
     let tt = DoubleBinaryTree::new(depth);
     let (x, y) = tt.roots();
-    let harness = ComplexityHarness::new(tt, PercolationConfig::new(p, base_seed))
-        .with_census_threads(census_threads);
+    let harness = ComplexityHarness::new(tt, PercolationConfig::new(p, base_seed));
     let local = harness.measure_parallel(&LeafPenetrationRouter::new(), x, y, trials, threads);
     let oracle = harness.measure_parallel(&PairedDfsOracleRouter::new(), x, y, trials, threads);
     TreeComplexityPoint {
@@ -131,10 +129,6 @@ pub struct DoubleTreeExperiment {
     /// Worker threads (1 = sequential; the reported numbers are identical
     /// for every value).
     pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
 }
 
 impl DoubleTreeExperiment {
@@ -150,7 +144,6 @@ impl DoubleTreeExperiment {
             trials: effort.pick(20, 80),
             base_seed: 0xFA07,
             threads: 1,
-            census_threads: 1,
         }
     }
 
@@ -168,13 +161,6 @@ impl DoubleTreeExperiment {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
         self
     }
 
@@ -238,7 +224,6 @@ impl DoubleTreeExperiment {
                 self.trials,
                 self.base_seed.wrapping_add(0xC0 + di as u64),
                 self.threads,
-                self.census_threads,
             );
             table.push_row([
                 depth.to_string(),
@@ -306,7 +291,7 @@ mod tests {
 
     #[test]
     fn local_probes_exceed_oracle_probes() {
-        let point = measure_tree_complexity(7, 0.8, 25, 9, 2, 1);
+        let point = measure_tree_complexity(7, 0.8, 25, 9, 2);
         assert!(point.local_mean_probes.is_finite());
         if point.oracle_mean_probes.is_finite() {
             assert!(point.local_mean_probes > point.oracle_mean_probes);

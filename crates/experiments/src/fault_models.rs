@@ -48,8 +48,7 @@ pub struct ModelMeshPoint {
 
 /// Measures the E4 landmark-router point (2-d mesh, straight pair at
 /// `distance`) under `model`, fanning trials across `exec.threads` workers;
-/// with `exec.census_threads > 1` each trial's conditioning check runs on
-/// the parallel census, and `exec.trial_batch > 0` routes the measurement
+/// `exec.trial_batch > 0` routes the measurement
 /// through the trial-batched harness — bit-identical numbers in every
 /// configuration (non-lane-batchable models fall back to the scalar loop
 /// after a one-shot stderr note).
@@ -62,8 +61,7 @@ pub fn measure_mesh_point_with_model<M: FaultModel + Sync + ?Sized>(
     exec: TrialExec,
 ) -> ModelMeshPoint {
     let (mesh, u, v) = mesh_and_pair(2, distance);
-    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed))
-        .with_census_threads(exec.census_threads);
+    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed));
     let router = MeshLandmarkRouter::new();
     let stats = if exec.batched() {
         harness.measure_batched_with_model(

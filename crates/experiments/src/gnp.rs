@@ -36,18 +36,10 @@ pub struct GnpPoint {
 /// Measures both `G(n, p)` routers at one size, fanning the conditioned
 /// trials across `threads` workers (1 = sequential; the result is identical
 /// either way).
-pub fn measure_gnp_point(
-    n: u64,
-    c: f64,
-    trials: u32,
-    base_seed: u64,
-    threads: usize,
-    census_threads: usize,
-) -> GnpPoint {
+pub fn measure_gnp_point(n: u64, c: f64, trials: u32, base_seed: u64, threads: usize) -> GnpPoint {
     let graph = CompleteGraph::new(n);
     let p = (c / n as f64).min(1.0);
-    let harness = ComplexityHarness::new(graph, PercolationConfig::new(p, base_seed))
-        .with_census_threads(census_threads);
+    let harness = ComplexityHarness::new(graph, PercolationConfig::new(p, base_seed));
     let (u, v) = graph.canonical_pair();
     let local = harness.measure_parallel(&IncrementalLocalRouter::new(), u, v, trials, threads);
     let oracle = harness.measure_parallel(&BidirectionalGrowthRouter::new(), u, v, trials, threads);
@@ -74,10 +66,6 @@ pub struct GnpExperiment {
     /// Worker threads for the conditioned trials (1 = sequential; the
     /// reported numbers are identical for every value).
     pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
 }
 
 impl GnpExperiment {
@@ -91,7 +79,6 @@ impl GnpExperiment {
             trials: effort.pick(10, 40),
             base_seed: 0xFA08,
             threads: 1,
-            census_threads: 1,
         }
     }
 
@@ -109,13 +96,6 @@ impl GnpExperiment {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
         self
     }
 
@@ -150,7 +130,6 @@ impl GnpExperiment {
                         .wrapping_add((ci as u64) << 20)
                         .wrapping_add(ni as u64),
                     self.threads,
-                    self.census_threads,
                 );
                 table.push_row([
                     n.to_string(),
@@ -199,15 +178,15 @@ mod tests {
 
     #[test]
     fn oracle_is_cheaper_than_local() {
-        let point = measure_gnp_point(150, 2.5, 10, 3, 2, 2);
+        let point = measure_gnp_point(150, 2.5, 10, 3, 2);
         assert!(point.connectivity_rate > 0.3);
         assert!(point.local_mean_probes > point.oracle_mean_probes);
     }
 
     #[test]
     fn exponent_gap_is_visible_even_at_small_sizes() {
-        let small = measure_gnp_point(60, 2.0, 12, 5, 1, 1);
-        let large = measure_gnp_point(240, 2.0, 12, 5, 1, 1);
+        let small = measure_gnp_point(60, 2.0, 12, 5, 1);
+        let large = measure_gnp_point(240, 2.0, 12, 5, 1);
         let local_growth = large.local_mean_probes / small.local_mean_probes;
         let oracle_growth = large.oracle_mean_probes / small.oracle_mean_probes;
         // Quadrupling n should grow the local cost markedly faster than the

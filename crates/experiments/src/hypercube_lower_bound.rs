@@ -58,15 +58,13 @@ pub fn compare_bound_to_measurement(
     trials: u32,
     base_seed: u64,
     threads: usize,
-    census_threads: usize,
 ) -> BoundComparison {
     let cube = Hypercube::new(dimension);
     let p = (dimension as f64).powf(-alpha).min(1.0);
     let (u, v) = cube.canonical_pair();
     let ball: HashSet<_> = hypercube_ball_cut(&cube, v, radius);
     let bound = estimate_cut_bound(&cube, p, &ball, u, v, trials, base_seed);
-    let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, base_seed ^ 0x5EED))
-        .with_census_threads(census_threads);
+    let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, base_seed ^ 0x5EED));
     let stats = harness.measure_parallel(&FloodRouter::new(), u, v, trials, threads);
     let summary = Summary::from_counts(stats.probe_counts().iter().copied());
     BoundComparison {
@@ -105,10 +103,6 @@ pub struct HypercubeLowerBoundExperiment {
     /// Worker threads for the conditioned trials (1 = sequential; the
     /// reported numbers are identical for every value).
     pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
 }
 
 impl HypercubeLowerBoundExperiment {
@@ -124,7 +118,6 @@ impl HypercubeLowerBoundExperiment {
             trials: effort.pick(30, 120),
             base_seed: 0xFA02,
             threads: 1,
-            census_threads: 1,
         }
     }
 
@@ -142,13 +135,6 @@ impl HypercubeLowerBoundExperiment {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
         self
     }
 
@@ -213,7 +199,6 @@ impl HypercubeLowerBoundExperiment {
                 self.trials,
                 self.base_seed.wrapping_add(i as u64),
                 self.threads,
-                self.census_threads,
             );
             mc.push_row([
                 n.to_string(),
@@ -256,7 +241,7 @@ mod tests {
 
     #[test]
     fn monte_carlo_bound_is_sound_against_measurement() {
-        let cmp = compare_bound_to_measurement(8, 0.7, 2, 40, 3, 2, 2);
+        let cmp = compare_bound_to_measurement(8, 0.7, 2, 40, 3, 2);
         // The bound certifies a probe count every local router must reach
         // with probability ≥ 1/2; the flooding router's *minimum* observed
         // probe count must therefore not be (much) below it. We check

@@ -52,8 +52,7 @@ pub struct AlphaPoint {
 
 /// Measures one `(n, α)` point with the segment router, fanning the
 /// conditioned trials across `threads` workers (1 = sequential; the result
-/// is identical either way); `census_threads > 1` switches each trial's
-/// conditioning check to the parallel census (bit-identical numbers).
+/// is identical either way).
 pub fn measure_alpha_point(
     dimension: u32,
     alpha: f64,
@@ -61,13 +60,11 @@ pub fn measure_alpha_point(
     probe_budget: u64,
     base_seed: u64,
     threads: usize,
-    census_threads: usize,
 ) -> AlphaPoint {
     let cube = Hypercube::new(dimension);
     let p = (dimension as f64).powf(-alpha).min(1.0);
     let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, base_seed))
-        .with_probe_budget(probe_budget)
-        .with_census_threads(census_threads);
+        .with_probe_budget(probe_budget);
     let (u, v) = cube.canonical_pair();
     let router = SegmentRouter::for_alpha(alpha, 16);
     let stats = harness.measure_parallel(&router, u, v, trials, threads);
@@ -109,10 +106,6 @@ pub struct HypercubeTransitionExperiment {
     /// Worker threads for the conditioned trials (1 = sequential; the
     /// reported numbers are identical for every value).
     pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
 }
 
 impl HypercubeTransitionExperiment {
@@ -131,7 +124,6 @@ impl HypercubeTransitionExperiment {
             probe_budget: effort.pick(30_000, 400_000),
             base_seed: 0xFA01,
             threads: 1,
-            census_threads: 1,
         }
     }
 
@@ -149,13 +141,6 @@ impl HypercubeTransitionExperiment {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
         self
     }
 
@@ -194,7 +179,6 @@ impl HypercubeTransitionExperiment {
                     self.probe_budget,
                     self.base_seed.wrapping_add(i as u64 * 1000 + n as u64),
                     self.threads,
-                    self.census_threads,
                 );
                 table.push_row([
                     format!("{alpha:.2}"),
@@ -235,7 +219,7 @@ mod tests {
 
     #[test]
     fn easy_regime_is_cheap_and_complete() {
-        let point = measure_alpha_point(10, 0.2, 8, 50_000, 7, 1, 1);
+        let point = measure_alpha_point(10, 0.2, 8, 50_000, 7, 1);
         assert!(point.connectivity_rate > 0.9);
         assert_eq!(point.success_rate, 1.0);
         assert_eq!(point.budget_exhaustion_rate, 0.0);
@@ -247,8 +231,8 @@ mod tests {
     fn hard_regime_costs_much_more_than_easy_regime() {
         // α = 0.75 (> 1/2) vs α = 0.25 (< 1/2) on the 11-cube: the conditioned
         // mean cost must be markedly larger in the hard regime.
-        let easy = measure_alpha_point(11, 0.25, 8, 100_000, 11, 2, 2);
-        let hard = measure_alpha_point(11, 0.75, 8, 100_000, 11, 2, 2);
+        let easy = measure_alpha_point(11, 0.25, 8, 100_000, 11, 2);
+        let hard = measure_alpha_point(11, 0.75, 8, 100_000, 11, 2);
         assert!(easy.mean_cost.is_finite());
         if hard.mean_cost.is_finite() {
             assert!(

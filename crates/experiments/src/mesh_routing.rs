@@ -78,11 +78,9 @@ pub fn measure_mesh_point(
     include_flood_baseline: bool,
     base_seed: u64,
     threads: usize,
-    census_threads: usize,
 ) -> MeshPoint {
     let (mesh, u, v) = mesh_and_pair(dimension, distance);
-    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed))
-        .with_census_threads(census_threads);
+    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed));
     let landmark = harness.measure_parallel(&MeshLandmarkRouter::new(), u, v, trials, threads);
     let landmark_summary = Summary::from_counts(landmark.probe_counts().iter().copied());
     let flood_mean = if include_flood_baseline {
@@ -119,10 +117,6 @@ pub struct MeshRoutingExperiment {
     /// Worker threads for the conditioned trials (1 = sequential; the
     /// reported numbers are identical for every value).
     pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
 }
 
 impl MeshRoutingExperiment {
@@ -138,7 +132,6 @@ impl MeshRoutingExperiment {
             include_flood_baseline: true,
             base_seed: 0xFA04,
             threads: 1,
-            census_threads: 1,
         }
     }
 
@@ -156,13 +149,6 @@ impl MeshRoutingExperiment {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
         self
     }
 
@@ -204,7 +190,6 @@ impl MeshRoutingExperiment {
                             .wrapping_add((di as u64) << 8)
                             .wrapping_add(d as u64),
                         self.threads,
-                        self.census_threads,
                     );
                     table.push_row([
                         distance.to_string(),
@@ -238,8 +223,8 @@ mod tests {
 
     #[test]
     fn probes_scale_roughly_linearly_with_distance() {
-        let near = measure_mesh_point(2, 0.8, 8, 10, false, 1, 2, 1);
-        let far = measure_mesh_point(2, 0.8, 32, 10, false, 1, 2, 1);
+        let near = measure_mesh_point(2, 0.8, 8, 10, false, 1, 2);
+        let far = measure_mesh_point(2, 0.8, 32, 10, false, 1, 2);
         assert!(near.connectivity_rate > 0.5);
         assert!(far.connectivity_rate > 0.5);
         // 4x the distance should cost well under 16x the probes (quadratic
@@ -254,7 +239,7 @@ mod tests {
 
     #[test]
     fn landmark_router_beats_flooding() {
-        let point = measure_mesh_point(2, 0.7, 16, 8, true, 5, 1, 2);
+        let point = measure_mesh_point(2, 0.7, 16, 8, true, 5, 1);
         assert!(point.flood_mean_probes.is_finite());
         assert!(point.landmark_mean_probes < point.flood_mean_probes);
     }

@@ -190,8 +190,7 @@ impl RealWorldExperiment {
     ) -> f64 {
         let (u, v) = graph.canonical_pair();
         let harness =
-            ComplexityHarness::new(graph.clone(), PercolationConfig::new(self.probe_p, seed))
-                .with_census_threads(self.census_threads);
+            ComplexityHarness::new(graph.clone(), PercolationConfig::new(self.probe_p, seed));
         let router = FloodRouter::new();
         let exec = self.exec();
         let stats = if exec.batched() {

@@ -41,7 +41,8 @@ pub struct RegisteredExperiment {
 
 impl RegisteredExperiment {
     /// Runs the experiment at the given effort across `threads` trial
-    /// workers and `census_threads` intra-census workers, with the
+    /// workers and `census_threads` intra-census workers (ignored by the
+    /// routing experiments, which run no census), with the
     /// trial-batched engine at `trial_batch` lanes (0 = scalar; ignored by
     /// experiments that don't [`Self::supports_trial_batch`]). All three
     /// knobs are pure wall-clock levers: the report is a function of
@@ -65,10 +66,16 @@ impl RegisteredExperiment {
 pub fn registry() -> Vec<RegisteredExperiment> {
     // A macro keeps each entry to one line and guarantees every experiment
     // is wired through the same with_effort/with_threads/run protocol. The
-    // `scalar`/`batched` marker states whether the experiment's struct has a
-    // `with_trial_batch` builder: `batched` entries forward the knob, the
-    // rest drop it (their trial structure has nothing for lanes to pack).
+    // marker states which builders beyond `with_threads` the experiment's
+    // struct has: `routing` entries take neither knob, `scalar` entries take
+    // `with_census_threads`, and `batched` entries take it and
+    // `with_trial_batch`. Knobs an entry lacks are dropped.
     macro_rules! experiments {
+        (@run routing, $ty:ty) => {
+            |effort, threads, _census_threads, _trial_batch| {
+                <$ty>::with_effort(effort).with_threads(threads).run()
+            }
+        };
         (@run scalar, $ty:ty) => {
             |effort, threads, census_threads, _trial_batch| {
                 <$ty>::with_effort(effort)
@@ -85,6 +92,9 @@ pub fn registry() -> Vec<RegisteredExperiment> {
                     .with_trial_batch(trial_batch)
                     .run()
             }
+        };
+        (@supports routing) => {
+            false
         };
         (@supports scalar) => {
             false
@@ -103,16 +113,16 @@ pub fn registry() -> Vec<RegisteredExperiment> {
         };
     }
     experiments! {
-        "E1/E3", "exp_hypercube_transition", "Theorem 3 — hypercube routing phase transition" => scalar HypercubeTransitionExperiment;
-        "E2", "exp_hypercube_lower_bound", "Lemma 5 — cut lower bound vs. measured cost" => scalar HypercubeLowerBoundExperiment;
-        "E4", "exp_mesh_routing", "Theorem 4 — O(n) mesh routing above p_c" => scalar MeshRoutingExperiment;
-        "E5", "exp_chemical_distance", "Lemma 8 — chemical distance is linear above p_c" => scalar ChemicalDistanceExperiment;
-        "E6", "exp_double_tree", "Lemma 6 + Theorems 7, 9 — double tree local vs. oracle" => scalar DoubleTreeExperiment;
-        "E7", "exp_gnp", "Theorems 10, 11 — G(n,p) local n² vs. oracle n^{3/2}" => scalar GnpExperiment;
+        "E1/E3", "exp_hypercube_transition", "Theorem 3 — hypercube routing phase transition" => routing HypercubeTransitionExperiment;
+        "E2", "exp_hypercube_lower_bound", "Lemma 5 — cut lower bound vs. measured cost" => routing HypercubeLowerBoundExperiment;
+        "E4", "exp_mesh_routing", "Theorem 4 — O(n) mesh routing above p_c" => routing MeshRoutingExperiment;
+        "E5", "exp_chemical_distance", "Lemma 8 — chemical distance is linear above p_c" => routing ChemicalDistanceExperiment;
+        "E6", "exp_double_tree", "Lemma 6 + Theorems 7, 9 — double tree local vs. oracle" => routing DoubleTreeExperiment;
+        "E7", "exp_gnp", "Theorems 10, 11 — G(n,p) local n² vs. oracle n^{3/2}" => routing GnpExperiment;
         "E8a", "exp_hypercube_giant", "§1.2 — hypercube giant/connectivity thresholds" => batched HypercubeGiantExperiment;
         "E8b", "exp_mesh_threshold", "§1.2 — mesh percolation threshold" => batched MeshThresholdExperiment;
         "E9", "exp_open_questions", "§6 open questions — constant-degree families" => scalar OpenQuestionsExperiment;
-        "E10", "exp_ablation", "design-choice ablations" => scalar AblationExperiment;
+        "E10", "exp_ablation", "design-choice ablations" => routing AblationExperiment;
         "E11", "exp_fault_models", "fault-model scenario matrix (node/correlated/adversarial)" => batched FaultModelsExperiment;
         "E12", "exp_churn", "dynamic fault churn — incremental census over fail/repair dynamics" => scalar ChurnExperiment;
         "E13", "exp_real_world", "fault-model matrix on real-world/scale-free substrates" => batched RealWorldExperiment;

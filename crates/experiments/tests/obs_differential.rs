@@ -1,7 +1,7 @@
 //! The zero-perturbation contract, enforced zoo-wide.
 //!
 //! The `faultnet_obs` instrumentation layer threads through every engine
-//! this workspace owns (BFS conditioning, the scalar and multispin
+//! this workspace owns (the conditioning check, the scalar and multispin
 //! percolation substrates, the parallel census, the routing harness, the
 //! churn walk). Its contract is that observing a run never changes the
 //! run: with instrumentation off, counting on, or full span tracing on,
@@ -59,6 +59,11 @@ fn instrumentation_states_never_change_a_report_byte() {
         assert!(
             faultnet_obs::counter_value("routing.trials.conditioned") > 0,
             "no conditioned-trial counts recorded; is the routing harness instrumented?"
+        );
+        assert!(
+            faultnet_obs::counter_value("percolation.connected.calls") > 0
+                && faultnet_obs::counter_value("percolation.connected.visits") > 0,
+            "no conditioning-check counts recorded; is `connected` instrumented?"
         );
         assert!(
             faultnet_obs::counter_value("percolation.bfs.calls") > 0

@@ -2,11 +2,15 @@
 //!
 //! Provides percolation ("chemical") distances, open shortest paths, open
 //! balls, and reachability — the ground truth against which the metered
-//! routers in `faultnet-routing` are validated.
+//! routers in `faultnet-routing` are validated. [`connected`], the
+//! conditioning check `{u ∼ v}` of every routing trial, is a bidirectional
+//! search of its own rather than a BFS tree.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
-use faultnet_topology::{Topology, VertexId};
+use faultnet_topology::hash::FxHashMap;
+use faultnet_topology::{EdgeId, Topology, VertexId};
 
 use crate::sample::EdgeStates;
 use crate::subgraph::PercolatedGraph;
@@ -17,9 +21,9 @@ use crate::subgraph::PercolatedGraph;
 pub struct BfsTree {
     source: VertexId,
     /// Distance from the source, for every reached vertex.
-    dist: HashMap<VertexId, u64>,
+    dist: FxHashMap<VertexId, u64>,
     /// BFS predecessor for every reached vertex other than the source.
-    parent: HashMap<VertexId, VertexId>,
+    parent: FxHashMap<VertexId, VertexId>,
 }
 
 impl BfsTree {
@@ -97,8 +101,8 @@ pub fn bfs<T: Topology, S: EdgeStates>(
     options: BfsOptions,
 ) -> BfsTree {
     let gp = PercolatedGraph::new(graph, states);
-    let mut dist = HashMap::new();
-    let mut parent = HashMap::new();
+    let mut dist = FxHashMap::default();
+    let mut parent = FxHashMap::default();
     let mut queue = VecDeque::new();
     // Instrumentation accumulates in locals and reports once at the end,
     // so a disabled build pays one relaxed load per BFS, not per vertex.
@@ -114,7 +118,7 @@ pub fn bfs<T: Topology, S: EdgeStates>(
             }
         }
         for w in gp.open_neighbors(v) {
-            if let std::collections::hash_map::Entry::Vacant(slot) = dist.entry(w) {
+            if let Entry::Vacant(slot) = dist.entry(w) {
                 slot.insert(d + 1);
                 parent.insert(w, v);
                 if options.target == Some(w) {
@@ -181,13 +185,74 @@ pub fn shortest_open_path<T: Topology, S: EdgeStates>(
 
 /// Returns `true` if `u` and `v` are connected by an open path (the paper's
 /// event `{u ∼ v}`).
+///
+/// A bidirectional search: one frontier grows from each endpoint, always
+/// the smaller one by a whole level, and every reached vertex carries the
+/// mark of the side that reached it. The answer is `true` the moment an
+/// open edge joins a vertex of one side to a vertex of the other, and
+/// `false` once either frontier empties (that side's open component is
+/// exhausted without meeting the other). Memory grows with the vertices
+/// touched, not with `|V|`, and no distances or parents are kept.
+///
+/// # Examples
+///
+/// ```
+/// use faultnet_percolation::{bfs::connected, PercolationConfig};
+/// use faultnet_topology::{hypercube::Hypercube, Topology};
+///
+/// let cube = Hypercube::new(8);
+/// let (u, v) = cube.canonical_pair();
+/// assert!(connected(&cube, &PercolationConfig::new(1.0, 0).sampler(), u, v));
+/// assert!(!connected(&cube, &PercolationConfig::new(0.0, 0).sampler(), u, v));
+/// ```
 pub fn connected<T: Topology, S: EdgeStates>(
     graph: &T,
     states: &S,
     u: VertexId,
     v: VertexId,
 ) -> bool {
-    percolation_distance(graph, states, u, v).is_some()
+    if u == v {
+        return true;
+    }
+    // side[w] is the index (0 = u's side, 1 = v's side) of the search that
+    // reached w first.
+    let mut side: FxHashMap<VertexId, usize> = FxHashMap::default();
+    side.insert(u, 0);
+    side.insert(v, 1);
+    let mut frontiers = [vec![u], vec![v]];
+    let mut next = Vec::new();
+    // Instrumentation accumulates in locals and reports once at the end,
+    // as in `bfs`.
+    let mut visited = 0u64;
+    let met = 'search: loop {
+        let s = usize::from(frontiers[1].len() < frontiers[0].len());
+        if frontiers[s].is_empty() {
+            break false;
+        }
+        for &x in &frontiers[s] {
+            visited += 1;
+            for w in graph.neighbors(x) {
+                match side.entry(w) {
+                    Entry::Occupied(mark) => {
+                        if *mark.get() != s && states.is_open(EdgeId::new(x, w)) {
+                            break 'search true;
+                        }
+                    }
+                    Entry::Vacant(slot) => {
+                        if states.is_open(EdgeId::new(x, w)) {
+                            slot.insert(s);
+                            next.push(w);
+                        }
+                    }
+                }
+            }
+        }
+        std::mem::swap(&mut frontiers[s], &mut next);
+        next.clear();
+    };
+    faultnet_obs::count("percolation.connected.calls", 1);
+    faultnet_obs::count("percolation.connected.visits", visited);
+    met
 }
 
 /// The set of vertices within open distance `radius` of `center` (an open

@@ -11,9 +11,10 @@
 //! [`BidirectionalOracleBfs`] is the natural oracle strengthening: grow
 //! breadth-first trees from both endpoints, always expanding the smaller one.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use faultnet_percolation::sample::EdgeStates;
+use faultnet_topology::hash::{FxHashMap, FxHashSet};
 use faultnet_topology::{Topology, VertexId};
 
 use crate::path::Path;
@@ -57,20 +58,20 @@ impl<T: Topology, S: EdgeStates> Router<T, S> for FloodRouter {
             ));
         }
         let graph = engine.graph();
-        let mut parent: HashMap<VertexId, VertexId> = HashMap::new();
-        let mut visited: HashMap<VertexId, ()> = HashMap::new();
-        visited.insert(source, ());
+        let mut parent: FxHashMap<VertexId, VertexId> = FxHashMap::default();
+        let mut visited: FxHashSet<VertexId> = FxHashSet::default();
+        visited.insert(source);
         let mut queue = VecDeque::from([source]);
         while let Some(v) = queue.pop_front() {
             for w in graph.neighbors(v) {
-                if visited.contains_key(&w) {
+                if visited.contains(&w) {
                     continue;
                 }
                 let open = engine.probe_between(v, w)?;
                 if !open {
                     continue;
                 }
-                visited.insert(w, ());
+                visited.insert(w);
                 parent.insert(w, v);
                 if w == target {
                     return Ok(RouteOutcome::from_engine(
@@ -126,8 +127,8 @@ impl<T: Topology, S: EdgeStates> Router<T, S> for BidirectionalOracleBfs {
             ));
         }
         let graph = engine.graph();
-        let mut side: HashMap<VertexId, Side> = HashMap::new();
-        let mut parent: HashMap<VertexId, VertexId> = HashMap::new();
+        let mut side: FxHashMap<VertexId, Side> = FxHashMap::default();
+        let mut parent: FxHashMap<VertexId, VertexId> = FxHashMap::default();
         side.insert(source, Side::Source);
         side.insert(target, Side::Target);
         let mut source_queue = VecDeque::from([source]);
@@ -173,7 +174,7 @@ impl<T: Topology, S: EdgeStates> Router<T, S> for BidirectionalOracleBfs {
     }
 }
 
-fn reconstruct(parent: &HashMap<VertexId, VertexId>, source: VertexId, target: VertexId) -> Path {
+fn reconstruct(parent: &FxHashMap<VertexId, VertexId>, source: VertexId, target: VertexId) -> Path {
     let mut vertices = vec![target];
     let mut cur = target;
     while cur != source {
@@ -187,7 +188,7 @@ fn reconstruct(parent: &HashMap<VertexId, VertexId>, source: VertexId, target: V
 /// Joins the source-side chain ending at one endpoint of the bridging edge
 /// with the target-side chain ending at the other endpoint.
 fn stitch(
-    parent: &HashMap<VertexId, VertexId>,
+    parent: &FxHashMap<VertexId, VertexId>,
     source: VertexId,
     target: VertexId,
     v: VertexId,

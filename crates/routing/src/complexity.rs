@@ -4,10 +4,10 @@
 //! number of probes `A` makes to find a path in `G_p`, **conditioned on the
 //! event `{u ∼ v}`**. The harness in this module turns that definition into a
 //! measurement procedure: sample independent percolation instances, discard
-//! those where `u` and `v` are not connected (checking connectivity with an
-//! un-metered BFS — the ground truth, not a router), run the router on the
-//! remaining instances, verify any returned path, and record the probe
-//! counts.
+//! those where `u` and `v` are not connected (checking connectivity with the
+//! un-metered bidirectional search [`connected`] — the ground truth, not a
+//! router), run the router on the remaining instances, verify any returned
+//! path, and record the probe counts.
 //!
 //! The fault process itself is pluggable: the default `measure` /
 //! `measure_parallel` methods realise the paper's i.i.d. Bernoulli edge
@@ -208,7 +208,6 @@ pub struct ComplexityHarness<T> {
     graph: T,
     config: PercolationConfig,
     probe_budget: Option<u64>,
-    census_threads: usize,
 }
 
 impl<T: Topology> ComplexityHarness<T> {
@@ -219,7 +218,6 @@ impl<T: Topology> ComplexityHarness<T> {
             graph,
             config,
             probe_budget: None,
-            census_threads: 1,
         }
     }
 
@@ -230,26 +228,6 @@ impl<T: Topology> ComplexityHarness<T> {
     #[must_use]
     pub fn with_probe_budget(mut self, budget: u64) -> Self {
         self.probe_budget = Some(budget);
-        self
-    }
-
-    /// Checks each trial's conditioning event `{u ∼ v}` with the parallel
-    /// component census ([`ComponentCensus::compute_parallel`] on `threads`
-    /// workers) instead of the sequential BFS.
-    ///
-    /// The two checks answer identically — the census's `same_component` is
-    /// connectivity — so this is a pure wall-clock knob: every recorded
-    /// number is bit-identical for every value (property-tested). Worth
-    /// switching on for instances large enough that a single connectivity
-    /// check dominates a trial (the n ≥ 16 hypercube grids); for small
-    /// graphs the early-exiting BFS is the faster conditioning check.
-    /// `threads <= 1` keeps the BFS.
-    ///
-    /// [`ComponentCensus::compute_parallel`]:
-    /// faultnet_percolation::components::ComponentCensus::compute_parallel
-    #[must_use]
-    pub fn with_census_threads(mut self, threads: usize) -> Self {
-        self.census_threads = threads.max(1);
         self
     }
 
@@ -312,27 +290,6 @@ impl<T: Topology> ComplexityHarness<T> {
         result
     }
 
-    /// The conditioning check `{u ∼ v}`: an early-exiting BFS by default, or
-    /// the parallel component census when
-    /// [`ComplexityHarness::with_census_threads`] raised the knob above 1.
-    /// The two agree on every instance — connectivity is connectivity — so
-    /// the choice never changes a recorded number.
-    fn pair_connected<S>(&self, states: &S, u: VertexId, v: VertexId) -> bool
-    where
-        T: Sync,
-        S: EdgeStates + Sync,
-    {
-        if self.census_threads <= 1 {
-            return connected(&self.graph, states, u, v);
-        }
-        faultnet_percolation::components::ComponentCensus::compute_parallel(
-            &self.graph,
-            states,
-            self.census_threads,
-        )
-        .same_component(u, v)
-    }
-
     /// Runs a single conditioned trial with the given seed, or `None` if the
     /// conditioning event `{u ∼ v}` fails in that instance.
     pub fn run_trial<R>(
@@ -343,12 +300,11 @@ impl<T: Topology> ComplexityHarness<T> {
         seed: u64,
     ) -> Option<TrialResult>
     where
-        T: Sync,
         R: Router<T, faultnet_percolation::EdgeSampler>,
     {
         let cfg = self.config.with_seed(seed);
         let sampler = cfg.sampler();
-        if !self.pair_connected(&sampler, u, v) {
+        if !connected(&self.graph, &sampler, u, v) {
             faultnet_obs::count("routing.trials.rejected", 1);
             return None;
         }
@@ -368,13 +324,12 @@ impl<T: Topology> ComplexityHarness<T> {
         seed: u64,
     ) -> Option<TrialResult>
     where
-        T: Sync,
         M: FaultModel + ?Sized,
         R: Router<T, faultnet_faultmodel::FaultInstance>,
     {
         let cfg = self.config.with_seed(seed);
         let instance = model.instance(&self.graph, cfg, Some((u, v)));
-        if !self.pair_connected(&instance, u, v) {
+        if !connected(&self.graph, &instance, u, v) {
             faultnet_obs::count("routing.trials.rejected", 1);
             return None;
         }
@@ -395,13 +350,12 @@ impl<T: Topology> ComplexityHarness<T> {
         seed: u64,
     ) -> Option<TrialResult>
     where
-        T: Sync,
         M: FaultModel + ?Sized,
         R: Router<T, faultnet_faultmodel::FaultInstance>,
     {
         let cfg = self.config.with_seed(seed);
         let instance = model.instance_from_placement(placement, &self.graph, cfg, (u, v));
-        if !self.pair_connected(&instance, u, v) {
+        if !connected(&self.graph, &instance, u, v) {
             faultnet_obs::count("routing.trials.rejected", 1);
             return None;
         }
@@ -418,7 +372,6 @@ impl<T: Topology> ComplexityHarness<T> {
     /// and should fail loudly in experiments).
     pub fn measure<R>(&self, router: &R, u: VertexId, v: VertexId, trials: u32) -> ComplexityStats
     where
-        T: Sync,
         R: Router<T, faultnet_percolation::EdgeSampler>,
     {
         let mut stats = ComplexityStats::empty(router.name(), trials);
@@ -519,7 +472,6 @@ impl<T: Topology> ComplexityHarness<T> {
         trials: u32,
     ) -> ComplexityStats
     where
-        T: Sync,
         M: FaultModel + ?Sized,
         R: Router<T, faultnet_faultmodel::FaultInstance>,
     {
@@ -975,39 +927,57 @@ mod tests {
 
     #[test]
     fn census_conditioning_is_bit_identical_to_bfs_conditioning() {
-        // The census_threads knob swaps the conditioning check from BFS to
-        // the parallel census; both decide exactly the same connectivity
-        // event, so measurements must not move by a bit — for the Bernoulli
-        // path and for every fault model.
+        // The harness conditions on {u ∼ v} with the bidirectional
+        // `connected`; the component census (sequential or parallel)
+        // decides the same event through `same_component`. The two must
+        // agree on every instance — the Bernoulli sampler and every fault
+        // model — and for pairs beyond the canonical one.
         use faultnet_faultmodel::FaultModelSpec;
+        use faultnet_percolation::components::ComponentCensus;
+        fn agree<S: EdgeStates + Sync>(
+            cube: &Hypercube,
+            states: &S,
+            pairs: &[(VertexId, VertexId)],
+            outcomes: &mut [u32; 2],
+            label: &str,
+        ) {
+            let census = ComponentCensus::compute(cube, states);
+            let parallel = ComponentCensus::compute_parallel(cube, states, 4);
+            for &(a, b) in pairs {
+                let expected = census.same_component(a, b);
+                assert_eq!(parallel.same_component(a, b), expected, "{label}");
+                assert_eq!(
+                    connected(cube, states, a, b),
+                    expected,
+                    "{label} ({a}, {b})"
+                );
+                outcomes[usize::from(expected)] += 1;
+            }
+        }
         let cube = Hypercube::new(8);
-        let baseline = ComplexityHarness::new(cube, PercolationConfig::new(0.45, 9));
+        let cfg = PercolationConfig::new(0.45, 9);
         let (u, v) = cube.canonical_pair();
-        let bfs = baseline.measure(&FloodRouter::new(), u, v, 14);
-        assert!(bfs.conditioned_trials() > 0, "vacuous check");
-        for census_threads in [2usize, 4] {
-            let censused = baseline.clone().with_census_threads(census_threads);
-            assert_eq!(
-                bfs,
-                censused.measure(&FloodRouter::new(), u, v, 14),
-                "census_threads {census_threads} (sequential measure)"
-            );
-            assert_eq!(
-                bfs,
-                censused.measure_parallel(&FloodRouter::new(), u, v, 14, 2),
-                "census_threads {census_threads} (parallel measure)"
-            );
+        let pairs = [
+            (u, v),
+            (VertexId(3), VertexId(200)),
+            (VertexId(17), VertexId(17)),
+        ];
+        let mut outcomes = [0u32; 2];
+        for t in 0..14 {
+            let sampler = cfg.with_seed(9 + t).sampler();
+            agree(&cube, &sampler, &pairs, &mut outcomes, "bernoulli");
         }
         for spec in FaultModelSpec::ALL {
             let model = spec.build();
-            let bfs = baseline.measure_with_model(&model, &FloodRouter::new(), u, v, 10);
-            let censused = baseline.clone().with_census_threads(4);
-            assert_eq!(
-                bfs,
-                censused.measure_with_model(&model, &FloodRouter::new(), u, v, 10),
-                "{spec} diverged under census conditioning"
-            );
+            for t in 0..10 {
+                let instance = model.instance(&cube, cfg.with_seed(9 + t), Some((u, v)));
+                agree(&cube, &instance, &pairs, &mut outcomes, &spec.to_string());
+            }
         }
+        assert!(
+            outcomes[0] > 0 && outcomes[1] > 0,
+            "vacuous check: {outcomes:?}"
+        );
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! ablation experiments use the pair to show that the paper's lower bounds
 //! are about *any* local strategy, not about one particular search order.
 
-use std::collections::{HashMap, HashSet};
-
 use faultnet_percolation::sample::EdgeStates;
+use faultnet_topology::hash::{FxHashMap, FxHashSet};
 use faultnet_topology::{Topology, VertexId};
 
 use crate::path::Path;
@@ -111,9 +110,9 @@ impl<T: Topology, S: EdgeStates> Router<T, S> for DepthFirstRouter {
             ));
         }
         let graph = engine.graph();
-        let mut visited: HashSet<VertexId> = HashSet::new();
+        let mut visited: FxHashSet<VertexId> = FxHashSet::default();
         visited.insert(source);
-        let mut parent: HashMap<VertexId, VertexId> = HashMap::new();
+        let mut parent: FxHashMap<VertexId, VertexId> = FxHashMap::default();
         // Explicit stack of (vertex, neighbors yet to try).
         let mut stack = vec![(source, self.ordered_neighbors(graph, source, target))];
         while let Some(top) = stack.last_mut() {

@@ -15,10 +15,11 @@
 //!   cross edges, a birthday-paradox argument. [`BidirectionalGrowthRouter`]
 //!   implements the algorithm from the proof of Theorem 11.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use faultnet_percolation::sample::EdgeStates;
 use faultnet_topology::complete::CompleteGraph;
+use faultnet_topology::hash::{FxHashMap, FxHashSet};
 use faultnet_topology::{Topology, VertexId};
 
 use crate::path::Path;
@@ -65,8 +66,8 @@ impl<S: EdgeStates> Router<CompleteGraph, S> for IncrementalLocalRouter {
             ));
         }
         let n = engine.graph().num_vertices();
-        let mut parent: HashMap<VertexId, VertexId> = HashMap::new();
-        let mut reached: HashSet<VertexId> = HashSet::new();
+        let mut parent: FxHashMap<VertexId, VertexId> = FxHashMap::default();
+        let mut reached: FxHashSet<VertexId> = FxHashSet::default();
         reached.insert(source);
         // Queue of reached vertices whose outgoing edges still need probing.
         let mut queue: VecDeque<VertexId> = VecDeque::from([source]);
@@ -137,20 +138,20 @@ impl BidirectionalGrowthRouter {
 #[derive(Debug)]
 struct GrowthSide {
     members: Vec<VertexId>,
-    parent: HashMap<VertexId, VertexId>,
+    parent: FxHashMap<VertexId, VertexId>,
     /// Per-member cursor over candidate vertex ids for growth probes.
-    next_candidate: HashMap<VertexId, u64>,
+    next_candidate: FxHashMap<VertexId, u64>,
     /// Index into `members` of the member currently being expanded.
     expand_index: usize,
 }
 
 impl GrowthSide {
     fn new(root: VertexId) -> Self {
-        let mut next_candidate = HashMap::new();
+        let mut next_candidate = FxHashMap::default();
         next_candidate.insert(root, 0);
         GrowthSide {
             members: vec![root],
-            parent: HashMap::new(),
+            parent: FxHashMap::default(),
             next_candidate,
             expand_index: 0,
         }

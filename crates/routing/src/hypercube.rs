@@ -19,6 +19,7 @@
 //! easily near the target when they are not.
 
 use faultnet_percolation::sample::EdgeStates;
+use faultnet_topology::hash::FxHashSet;
 use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::{Topology, VertexId};
 
@@ -189,7 +190,7 @@ impl<S: EdgeStates> Router<Hypercube, S> for GreedyHypercubeRouter {
         target: VertexId,
     ) -> Result<RouteOutcome, RouteError> {
         let cube = *engine.graph();
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = FxHashSet::default();
         visited.insert(source);
         let mut path = vec![source];
         let mut current = source;

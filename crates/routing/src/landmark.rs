@@ -18,9 +18,10 @@
 //! [`crate::mesh::MeshLandmarkRouter`] and [`crate::hypercube::SegmentRouter`]
 //! are thin wrappers around [`LandmarkBfsRouter`] with the paper's defaults.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use faultnet_percolation::sample::EdgeStates;
+use faultnet_topology::hash::FxHashMap;
 use faultnet_topology::{Topology, VertexId};
 
 use crate::path::Path;
@@ -97,8 +98,8 @@ impl LandmarkBfsRouter {
         is_goal: &impl Fn(VertexId) -> bool,
     ) -> Result<Option<(VertexId, Vec<VertexId>)>, RouteError> {
         let graph = engine.graph();
-        let mut dist: HashMap<VertexId, u64> = HashMap::new();
-        let mut parent: HashMap<VertexId, VertexId> = HashMap::new();
+        let mut dist: FxHashMap<VertexId, u64> = FxHashMap::default();
+        let mut parent: FxHashMap<VertexId, VertexId> = FxHashMap::default();
         dist.insert(start, 0);
         let mut queue = VecDeque::from([start]);
         while let Some(v) = queue.pop_front() {
@@ -173,7 +174,7 @@ impl<T: Topology, S: EdgeStates> Router<T, S> for LandmarkBfsRouter {
             ))
         })?;
         // Rank of each landmark along the geodesic.
-        let rank: HashMap<VertexId, usize> =
+        let rank: FxHashMap<VertexId, usize> =
             landmarks.iter().enumerate().map(|(i, v)| (*v, i)).collect();
         let final_rank = landmarks.len() - 1;
 
@@ -237,7 +238,7 @@ impl<T: Topology, S: EdgeStates> Router<T, S> for LandmarkBfsRouter {
 /// need simple paths can post-process with this helper.
 pub fn simplify_walk(walk: &[VertexId]) -> Vec<VertexId> {
     let mut out: Vec<VertexId> = Vec::with_capacity(walk.len());
-    let mut position: HashMap<VertexId, usize> = HashMap::new();
+    let mut position: FxHashMap<VertexId, usize> = FxHashMap::default();
     for &v in walk {
         if let Some(&idx) = position.get(&v) {
             // Cut the loop: drop everything after the first occurrence.

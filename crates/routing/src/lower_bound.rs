@@ -25,6 +25,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use faultnet_percolation::sample::EdgeStates;
 use faultnet_percolation::PercolationConfig;
+use faultnet_topology::hash::FxHashSet;
 use faultnet_topology::{EdgeId, Topology, VertexId};
 
 /// The Lemma 5 inequality, packaged with the three probabilities it needs.
@@ -109,7 +110,7 @@ pub fn connected_within<T: Topology, S: EdgeStates>(
     if !s.contains(&a) || !s.contains(&b) {
         return false;
     }
-    let mut seen: HashSet<VertexId> = HashSet::new();
+    let mut seen: FxHashSet<VertexId> = FxHashSet::default();
     seen.insert(a);
     let mut queue = VecDeque::from([a]);
     while let Some(x) = queue.pop_front() {
@@ -149,7 +150,7 @@ pub fn estimate_cut_bound<T: Topology>(
 ) -> CutBound {
     assert!(s.contains(&v), "the cut set S must contain the target v");
     // Endpoints inside S of edges crossing the cut.
-    let mut inner_endpoints: HashSet<VertexId> = HashSet::new();
+    let mut inner_endpoints: FxHashSet<VertexId> = FxHashSet::default();
     for &x in s {
         for y in graph.neighbors(x) {
             if !s.contains(&y) {
@@ -267,7 +268,7 @@ pub fn restricted_probability_profile<T: Topology>(
     trials: u32,
     base_seed: u64,
 ) -> HashMap<VertexId, f64> {
-    let mut inner_endpoints: HashSet<VertexId> = HashSet::new();
+    let mut inner_endpoints: FxHashSet<VertexId> = FxHashSet::default();
     for &x in s {
         for y in graph.neighbors(x) {
             if !s.contains(&y) {

@@ -13,10 +13,10 @@
 //! * optionally enforces a probe **budget**, so lower-bound experiments can
 //!   stop an exponential search without running it to completion.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use faultnet_percolation::sample::EdgeStates;
+use faultnet_topology::hash::{FxHashMap, FxHashSet};
 use faultnet_topology::{EdgeId, Topology, VertexId};
 
 use crate::router::Locality;
@@ -80,7 +80,7 @@ impl std::error::Error for ProbeError {}
 pub struct ProbeEngine<'a, T, S> {
     graph: &'a T,
     states: &'a S,
-    cache: HashMap<EdgeId, bool>,
+    cache: FxHashMap<EdgeId, bool>,
     queries: u64,
     budget: Option<u64>,
     locality: Option<LocalityState>,
@@ -89,7 +89,7 @@ pub struct ProbeEngine<'a, T, S> {
 #[derive(Debug, Clone)]
 struct LocalityState {
     start: VertexId,
-    reached: HashSet<VertexId>,
+    reached: FxHashSet<VertexId>,
 }
 
 impl<'a, T: Topology, S: EdgeStates> ProbeEngine<'a, T, S> {
@@ -99,7 +99,7 @@ impl<'a, T: Topology, S: EdgeStates> ProbeEngine<'a, T, S> {
         ProbeEngine {
             graph,
             states,
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             queries: 0,
             budget: None,
             locality: None,
@@ -110,12 +110,12 @@ impl<'a, T: Topology, S: EdgeStates> ProbeEngine<'a, T, S> {
     /// only if one endpoint of the edge has already been reached from
     /// `start` through probed open edges (Definition 1).
     pub fn local(graph: &'a T, states: &'a S, start: VertexId) -> Self {
-        let mut reached = HashSet::new();
+        let mut reached = FxHashSet::default();
         reached.insert(start);
         ProbeEngine {
             graph,
             states,
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             queries: 0,
             budget: None,
             locality: Some(LocalityState { start, reached }),
@@ -217,7 +217,7 @@ impl<'a, T: Topology, S: EdgeStates> ProbeEngine<'a, T, S> {
 
     /// The set of vertices currently reached from the start vertex (local
     /// engines only).
-    pub fn reached(&self) -> Option<&HashSet<VertexId>> {
+    pub fn reached(&self) -> Option<&FxHashSet<VertexId>> {
         self.locality.as_ref().map(|l| &l.reached)
     }
 

@@ -18,6 +18,7 @@
 
 use faultnet_percolation::sample::EdgeStates;
 use faultnet_topology::double_tree::{DoubleBinaryTree, TreeSide};
+use faultnet_topology::hash::{FxHashMap, FxHashSet};
 use faultnet_topology::{Topology, VertexId};
 
 use crate::path::Path;
@@ -68,9 +69,8 @@ impl<S: EdgeStates> Router<DoubleBinaryTree, S> for LeafPenetrationRouter {
         // Iterative DFS over the open subgraph, probing edges as they are
         // first considered. Children (descending towards the leaves) are
         // pushed last so they are explored first.
-        let mut parent: std::collections::HashMap<VertexId, VertexId> =
-            std::collections::HashMap::new();
-        let mut visited: std::collections::HashSet<VertexId> = std::collections::HashSet::new();
+        let mut parent: FxHashMap<VertexId, VertexId> = FxHashMap::default();
+        let mut visited: FxHashSet<VertexId> = FxHashSet::default();
         visited.insert(source);
         let mut stack = vec![source];
         while let Some(v) = stack.pop() {

@@ -12,16 +12,53 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// One in-flight computation: the slot the leader fills and the condvar
+/// One in-flight computation: the state the leader settles and the condvar
 /// the waiters sleep on.
 struct Flight<V> {
-    slot: Mutex<Option<V>>,
+    state: Mutex<FlightState<V>>,
     done: Condvar,
     /// How many callers have committed to waiting on this flight;
     /// incremented under the registry lock, so it is exact.
     waiters: AtomicU64,
+}
+
+enum FlightState<V> {
+    /// The leader is still computing.
+    Pending,
+    /// The leader's value, for every waiter to clone.
+    Done(V),
+    /// The leader's `compute` unwound: waiters retry, one of them leading.
+    Abandoned,
+}
+
+/// Held by the leader while it computes. Dropping it — on return or while
+/// `compute` unwinds — wakes the waiters and unregisters the flight, so a
+/// panicking computation can never strand its key.
+struct Leading<'a, V> {
+    inflight: &'a Mutex<HashMap<String, Arc<Flight<V>>>>,
+    key: &'a str,
+    flight: Arc<Flight<V>>,
+}
+
+impl<V> Drop for Leading<'_, V> {
+    fn drop(&mut self) {
+        {
+            let mut state = lock(&self.flight.state);
+            if matches!(*state, FlightState::Pending) {
+                *state = FlightState::Abandoned;
+            }
+            self.flight.done.notify_all();
+        }
+        lock(self.inflight).remove(self.key);
+    }
+}
+
+/// Locks `mutex`, tolerating poison: every critical section here leaves its
+/// data consistent, so a panic elsewhere must not wedge the coalescer.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// How a coalesced call obtained its value (for `/metrics` and logs).
@@ -56,45 +93,57 @@ impl<V: Clone> Coalescer<V> {
     /// that want cross-request reuse put a cache in front (the service
     /// checks its response cache first, so a post-flight call is a cache
     /// hit instead).
+    ///
+    /// If the leader's `compute` panics, the panic propagates to the
+    /// leader's caller only: the flight is unregistered on the way out and
+    /// its waiters retry, so one of them leads a fresh computation.
     pub fn run<F: FnOnce() -> V>(&self, key: &str, compute: F) -> (V, Role) {
-        let flight = {
-            let mut inflight = self.inflight.lock().expect("coalescer poisoned");
-            match inflight.get(key) {
-                Some(flight) => {
+        let flight = loop {
+            let flight = {
+                let mut inflight = lock(&self.inflight);
+                match inflight.get(key) {
                     // Someone is already computing this key: wait for them.
-                    let flight = Arc::clone(flight);
-                    flight.waiters.fetch_add(1, Ordering::SeqCst);
-                    drop(inflight);
-                    let mut slot = flight.slot.lock().expect("flight poisoned");
-                    while slot.is_none() {
-                        slot = flight.done.wait(slot).expect("flight poisoned");
+                    Some(flight) => {
+                        let flight = Arc::clone(flight);
+                        flight.waiters.fetch_add(1, Ordering::SeqCst);
+                        flight
                     }
-                    return (slot.clone().expect("slot filled"), Role::Waiter);
+                    None => {
+                        let flight = Arc::new(Flight {
+                            state: Mutex::new(FlightState::Pending),
+                            done: Condvar::new(),
+                            waiters: AtomicU64::new(0),
+                        });
+                        inflight.insert(key.to_string(), Arc::clone(&flight));
+                        break flight;
+                    }
                 }
-                None => {
-                    let flight = Arc::new(Flight {
-                        slot: Mutex::new(None),
-                        done: Condvar::new(),
-                        waiters: AtomicU64::new(0),
-                    });
-                    inflight.insert(key.to_string(), Arc::clone(&flight));
-                    flight
+            };
+            let mut state = lock(&flight.state);
+            loop {
+                match &*state {
+                    FlightState::Pending => {
+                        state = flight
+                            .done
+                            .wait(state)
+                            .unwrap_or_else(PoisonError::into_inner);
+                    }
+                    FlightState::Done(value) => return (value.clone(), Role::Waiter),
+                    FlightState::Abandoned => break,
                 }
             }
         };
+        let leading = Leading {
+            inflight: &self.inflight,
+            key,
+            flight,
+        };
         let value = compute();
-        // Publish before unregistering so a waiter that grabbed the flight
-        // just before removal still sees the value; a brand-new caller
-        // after removal simply leads its own flight.
-        {
-            let mut slot = flight.slot.lock().expect("flight poisoned");
-            *slot = Some(value.clone());
-            flight.done.notify_all();
-        }
-        self.inflight
-            .lock()
-            .expect("coalescer poisoned")
-            .remove(key);
+        // Publish before unregistering (in `Leading::drop`) so a waiter
+        // that grabbed the flight just before removal still sees the value;
+        // a brand-new caller after removal simply leads its own flight.
+        *lock(&leading.flight.state) = FlightState::Done(value.clone());
+        drop(leading);
         (value, Role::Leader)
     }
 
@@ -103,9 +152,7 @@ impl<V: Clone> Coalescer<V> {
     /// observability gauge: the count is incremented under the registry
     /// lock at the moment a caller commits to the waiter branch.
     pub fn waiters(&self, key: &str) -> u64 {
-        self.inflight
-            .lock()
-            .expect("coalescer poisoned")
+        lock(&self.inflight)
             .get(key)
             .map_or(0, |flight| flight.waiters.load(Ordering::SeqCst))
     }
@@ -178,6 +225,69 @@ mod tests {
             assert_eq!((value, role), (42, Role::Waiter));
         }
         assert_eq!(computed.load(Ordering::SeqCst), 1, "exactly one compute");
+    }
+
+    #[test]
+    fn panicking_leader_releases_its_waiters_and_its_key() {
+        let coalescer: Arc<Coalescer<u64>> = Arc::new(Coalescer::new());
+        let computed = Arc::new(AtomicU64::new(0));
+        let entered = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
+        let leader = {
+            let coalescer = Arc::clone(&coalescer);
+            let entered = Arc::clone(&entered);
+            let release = Arc::clone(&release);
+            std::thread::spawn(move || {
+                coalescer.run("k", || -> u64 {
+                    entered.wait();
+                    release.wait();
+                    panic!("leader compute fails");
+                })
+            })
+        };
+        entered.wait();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let coalescer = Arc::clone(&coalescer);
+                let computed = Arc::clone(&computed);
+                let done_tx = done_tx.clone();
+                std::thread::spawn(move || {
+                    let outcome = coalescer.run("k", || {
+                        computed.fetch_add(1, Ordering::SeqCst);
+                        42
+                    });
+                    done_tx.send(outcome).unwrap();
+                })
+            })
+            .collect();
+        while coalescer.waiters("k") < 3 {
+            std::thread::yield_now();
+        }
+        release.wait();
+        assert!(
+            leader.join().is_err(),
+            "the leader's panic reaches its caller"
+        );
+        // Every committed waiter finishes (a hang fails here, not forever),
+        // and at least one of them re-ran the computation as a leader.
+        let outcomes: Vec<(u64, Role)> = (0..3)
+            .map(|_| {
+                done_rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .expect("a waiter of a panicked leader hung")
+            })
+            .collect();
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+        assert!(outcomes.iter().all(|(value, _)| *value == 42));
+        assert!(outcomes.iter().any(|(_, role)| *role == Role::Leader));
+        let recomputed = computed.load(Ordering::SeqCst);
+        assert!((1..=3).contains(&recomputed), "{recomputed} recomputations");
+        // The key is free again: the next call computes afresh.
+        assert_eq!(coalescer.waiters("k"), 0);
+        assert_eq!(coalescer.run("k", || 9), (9, Role::Leader));
     }
 
     #[test]

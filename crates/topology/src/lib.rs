@@ -28,6 +28,9 @@
 //!   [`explicit::ExplicitGraph`]: an edge-list/CSV loader (with the bundled
 //!   karate-club dataset), plus Barabási–Albert, fat-tree, and random
 //!   `d`-regular generators.
+//!
+//! [`hash`] holds the fast deterministic hasher every per-trial vertex- and
+//! edge-keyed map in the workspace runs on.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -40,6 +43,7 @@ pub mod cycle_matching;
 pub mod de_bruijn;
 pub mod double_tree;
 pub mod explicit;
+pub mod hash;
 pub mod hypercube;
 pub mod load;
 pub mod mesh;

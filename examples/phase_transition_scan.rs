@@ -38,15 +38,8 @@ fn main() {
     let mut curve = Vec::new();
     let mut log_curve = Vec::new();
     for (i, &alpha) in alphas.iter().enumerate() {
-        let point = measure_alpha_point(
-            dimension,
-            alpha,
-            trials,
-            budget,
-            31_000 + i as u64,
-            threads,
-            1,
-        );
+        let point =
+            measure_alpha_point(dimension, alpha, trials, budget, 31_000 + i as u64, threads);
         table.push_row([
             format!("{alpha:.1}"),
             format!("{:.4}", point.p),

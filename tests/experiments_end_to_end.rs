@@ -80,6 +80,33 @@ fn run_all_quick_output_is_byte_identical_across_thread_counts() {
     );
 }
 
+/// `run_all --quick --markdown` pinned to fixed bytes: the golden file was
+/// rendered before the bidirectional conditioning check and the fast
+/// hasher went in, so this compares the scalar routing experiments (E1–E7,
+/// E10) — and every other report — against the pre-change output, not just
+/// one knob setting against another. CI runs the same `cmp` on the shipped
+/// binary.
+#[test]
+fn run_all_quick_markdown_matches_the_pinned_golden() {
+    let rendered: String = run_all_reports(Effort::Quick, 1, 1, 0)
+        .iter()
+        .map(|report| format!("{}\n", report.render_markdown()))
+        .collect();
+    let golden = include_str!("golden/run_all_quick.md");
+    if rendered != golden {
+        let line = rendered
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, b)| a != b)
+            .map_or(rendered.lines().count().min(golden.lines().count()), |i| i);
+        panic!(
+            "run_all --quick --markdown diverged from tests/golden/run_all_quick.md \
+             at line {}",
+            line + 1
+        );
+    }
+}
+
 #[test]
 fn hypercube_transition_report() {
     let report = HypercubeTransitionExperiment::quick().run();
